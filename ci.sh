@@ -12,6 +12,12 @@ cargo build --release --offline
 echo "==> tests"
 cargo test -q --offline
 
+echo "==> llc-sim suites: unit tests, packed_equivalence, properties, sampled_scaling"
+cargo test -q --release -p llc-sim --offline
+
+echo "==> e2ebench self-test and lockstep replay of Engine::run_epoch"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> lint gate (fmt, clippy, source scans)"
 cargo run -q -p xtask --offline -- lint
 

@@ -1,9 +1,14 @@
 //! A complete set-associative cache array with per-requestor fill masks.
+//!
+//! Occupancy per requestor is a counter read, as Intel CMT's is: the
+//! cache keeps a count of resident lines for every filler id and updates
+//! it on every fill, eviction, invalidation and flush, so
+//! [`SetAssocCache::occupancy_of`] never scans the sets.
 
 use crate::address::LineAddr;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
-use crate::set::{CacheSet, FillResult};
+use crate::set::{CacheSet, Dropped};
 
 /// A bitmask over cache ways, mirroring a CAT capacity bitmask (CBM).
 ///
@@ -106,6 +111,8 @@ pub struct SetAssocCache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
     sets: Vec<CacheSet>,
+    /// Resident lines per filler id (dense; grows to the largest id seen).
+    owner_lines: Vec<u64>,
     clock: u64,
     // Cheap xorshift state for Random victims / BIP insertion draws;
     // deterministic so simulations are reproducible.
@@ -127,9 +134,17 @@ impl SetAssocCache {
             geometry,
             policy,
             sets,
+            owner_lines: Vec::new(),
             clock: 0,
             draw_state: 0x9E37_79B9_7F4A_7C15,
         }
+    }
+
+    /// Sizes the per-owner occupancy counts for owner ids `0..owners`, so
+    /// fills by those owners never grow the table.
+    pub(crate) fn reserve_owners(&mut self, owners: u32) {
+        let len = (owners as usize).max(self.owner_lines.len());
+        self.owner_lines.resize(len, 0);
     }
 
     /// The cache's shape.
@@ -163,19 +178,67 @@ impl SetAssocCache {
 
     /// Performs an access attributed to requestor `owner` (a core id),
     /// tagging any filled line for occupancy monitoring — the simulator's
-    /// analogue of Intel CMT's RMID tagging.
+    /// analogue of Intel CMT's RMID tagging. A hit by anyone but the
+    /// line's filler marks the line shared.
     pub fn access_as(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> AccessOutcome {
+        if self.hit_as(line, owner) {
+            return AccessOutcome::Hit;
+        }
+        AccessOutcome::Miss {
+            evicted: self.fill_as(line, mask, owner).map(|d| d.line),
+        }
+    }
+
+    /// The lookup half of [`SetAssocCache::access_as`]. On a hit it
+    /// advances the clock and the draw stream exactly as the access would
+    /// and returns `true`; on a miss it changes nothing, and the caller
+    /// must follow with [`SetAssocCache::fill_as`] to complete the access.
+    pub(crate) fn hit_as(&mut self, line: LineAddr, owner: u32) -> bool {
+        let now = self.clock + 1;
+        let policy = self.policy;
+        let idx = self.geometry.set_index(line) as usize;
+        if self.sets[idx].lookup_as(line, now, policy, owner).is_none() {
+            return false;
+        }
+        self.clock = now;
+        self.next_draw();
+        true
+    }
+
+    /// The fill half of [`SetAssocCache::access_as`], for a line known to
+    /// be absent: fills it tagged with `owner` and returns what it evicted.
+    pub(crate) fn fill_as(&mut self, line: LineAddr, mask: WayMask, owner: u32) -> Option<Dropped> {
         self.clock += 1;
         let now = self.clock;
         let draw = self.next_draw();
         let policy = self.policy;
         let idx = self.geometry.set_index(line) as usize;
-        let set = &mut self.sets[idx];
-        if set.lookup_with(line, now, policy).is_some() {
-            return AccessOutcome::Hit;
+        let (_, evicted) = self.sets[idx].fill_tracked(line, mask, now, owner, policy, draw);
+        self.count_fill(owner);
+        if let Some(d) = evicted {
+            self.count_drop(d);
         }
-        let FillResult { evicted, .. } = set.fill_with(line, mask, now, owner, policy, draw);
-        AccessOutcome::Miss { evicted }
+        evicted
+    }
+
+    #[inline]
+    fn count_fill(&mut self, owner: u32) {
+        let i = owner as usize;
+        if i >= self.owner_lines.len() {
+            self.grow_owner_lines(i);
+        }
+        self.owner_lines[i] += 1;
+    }
+
+    #[cold]
+    fn grow_owner_lines(&mut self, owner: usize) {
+        self.owner_lines.resize(owner + 1, 0);
+    }
+
+    /// Uncounts a line that left; its filler was counted when it arrived.
+    #[inline]
+    fn count_drop(&mut self, d: Dropped) {
+        self.owner_lines[d.filler as usize] -= 1;
     }
 
     /// Checks residency without updating replacement state.
@@ -187,7 +250,13 @@ impl SetAssocCache {
     /// Drops `line` if resident; returns whether it was.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         let idx = self.geometry.set_index(line) as usize;
-        self.sets[idx].invalidate(line)
+        match self.sets[idx].take(line) {
+            Some(d) => {
+                self.count_drop(d);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Empties the whole cache.
@@ -195,11 +264,12 @@ impl SetAssocCache {
         for set in &mut self.sets {
             set.flush();
         }
+        self.owner_lines.fill(0);
     }
 
     /// Total resident lines.
     pub fn occupancy(&self) -> u64 {
-        self.sets.iter().map(|s| u64::from(s.occupancy())).sum()
+        self.owner_lines.iter().sum()
     }
 
     /// Resident lines within the ways permitted by `mask`, across all sets.
@@ -215,12 +285,10 @@ impl SetAssocCache {
         &self.sets[index as usize]
     }
 
-    /// Lines resident that were filled by `owner`, across all sets.
+    /// Lines resident that were filled by `owner`, across all sets — a
+    /// counter read, not a scan.
     pub fn occupancy_of(&self, owner: u32) -> u64 {
-        self.sets
-            .iter()
-            .map(|s| u64::from(s.occupancy_of(owner)))
-            .sum()
+        self.owner_lines.get(owner as usize).copied().unwrap_or(0)
     }
 
     /// Invalidates every line in the ways permitted by `mask`, returning
@@ -229,10 +297,20 @@ impl SetAssocCache {
     /// run a user-level flush pass after reassigning ways.
     pub fn invalidate_ways(&mut self, mask: WayMask) -> Vec<LineAddr> {
         let mut dropped = Vec::new();
-        for set in &mut self.sets {
-            dropped.extend(set.invalidate_ways(mask));
-        }
+        self.drain_ways(mask, |d| dropped.push(d.line));
         dropped
+    }
+
+    /// Invalidates every line in the ways permitted by `mask`, handing
+    /// each to `f` (set by set, ascending way order within a set).
+    pub(crate) fn drain_ways(&mut self, mask: WayMask, mut f: impl FnMut(Dropped)) {
+        let owner_lines = &mut self.owner_lines;
+        for set in &mut self.sets {
+            set.drain_ways(mask, |d| {
+                owner_lines[d.filler as usize] -= 1;
+                f(d);
+            });
+        }
     }
 }
 

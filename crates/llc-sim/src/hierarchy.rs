@@ -3,15 +3,27 @@
 //! Inclusion is enforced the way Intel's pre-Skylake server parts do it
 //! (and the paper's footnote 3 describes): the LLC is inclusive of the
 //! private caches, so evicting a line from the LLC *back-invalidates* it
-//! from every core's L1 and L2. This is the mechanism by which a noisy
+//! from the private caches. This is the mechanism by which a noisy
 //! neighbor flushing the LLC also destroys a victim's private-cache
 //! contents — the effect Figure 1 of the paper measures.
+//!
+//! The back-invalidation is snoop-filtered, as the hardware's core-valid
+//! bits filter it. A private cache only gets a line through an LLC
+//! access, either the miss that filled it or a later hit, so while the
+//! line stays in the LLC its private copies can only live in the filler
+//! and in the cores that hit it. Each LLC line's owner word carries a
+//! SHARED bit that the first hit by another core sets. A line without it
+//! is dropped from its filler's L1 and L2 only; a line with it is dropped
+//! from every core's. Both eviction and [`Hierarchy::flush_mask`] apply
+//! the rule, and it is exact: the caches end in the same state as a walk
+//! over every core would leave them.
 
 use crate::address::PhysAddr;
-use crate::cache::{AccessOutcome, SetAssocCache, WayMask};
+use crate::cache::{SetAssocCache, WayMask};
 use crate::counters::CoreCounters;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
+use crate::set::Dropped;
 
 /// Kind of memory access. Loads and stores are costed identically by the
 /// latency model; the distinction is kept because workload generators and
@@ -211,6 +223,8 @@ impl Hierarchy {
     pub fn new(config: HierarchyConfig) -> Self {
         assert!(config.cores > 0, "hierarchy needs at least one core");
         let full = WayMask::all(config.llc.ways);
+        let mut llc = SetAssocCache::with_policy(config.llc, config.llc_policy);
+        llc.reserve_owners(config.cores);
         Hierarchy {
             l1: (0..config.cores)
                 .map(|_| SetAssocCache::new(config.l1))
@@ -218,7 +232,7 @@ impl Hierarchy {
             l2: (0..config.cores)
                 .map(|_| SetAssocCache::new(config.l2))
                 .collect(),
-            llc: SetAssocCache::with_policy(config.llc, config.llc_policy),
+            llc,
             fill_masks: vec![full; config.cores as usize],
             counters: vec![CoreCounters::default(); config.cores as usize],
             fidelity: SimFidelity::Full,
@@ -340,17 +354,17 @@ impl Hierarchy {
         let idx = core as usize;
         self.counters[idx].l1_ref += 1;
 
+        // On a miss the L1 access has already filled the line, and nothing
+        // below drops it again: L2 and LLC victims are other lines.
         let l1_mask = WayMask::all(self.config.l1.ways);
         if self.l1[idx].access(line, l1_mask).is_hit() {
             return HitLevel::L1;
         }
         self.counters[idx].l1_miss += 1;
 
-        let l2_mask = WayMask::all(self.config.l2.ways);
-        if self.l2[idx].probe(line) {
-            // Refresh L2 LRU, then pull the line up into L1.
-            self.l2[idx].access(line, l2_mask);
-            self.fill_l1(idx, line);
+        // A hit refreshes the L2's LRU state; a miss leaves the L2 alone
+        // until `fill_l2`, after any LLC back-invalidation has freed ways.
+        if self.l2[idx].hit_as(line, 0) {
             return HitLevel::L2;
         }
         self.counters[idx].llc_ref += 1;
@@ -365,7 +379,6 @@ impl Hierarchy {
                 self.counters[idx].llc_miss += 1;
             }
             self.fill_l2(idx, line);
-            self.fill_l1(idx, line);
             return if missed {
                 HitLevel::Dram
             } else {
@@ -373,59 +386,33 @@ impl Hierarchy {
             };
         }
 
-        let llc_mask = self.fill_masks[idx];
         let sampling = self.fidelity != SimFidelity::Full;
-        match self.llc.access_as(line, llc_mask, core) {
-            AccessOutcome::Hit => {
-                if sampling {
-                    self.samplers[idx].observe(false);
-                }
-                self.fill_l2(idx, line);
-                self.fill_l1(idx, line);
-                HitLevel::Llc
+        let level = if self.llc.hit_as(line, core) {
+            if sampling {
+                self.samplers[idx].observe(false);
             }
-            AccessOutcome::Miss { evicted } => {
-                self.counters[idx].llc_miss += 1;
-                if sampling {
-                    self.samplers[idx].observe(true);
-                }
-                if let Some(victim) = evicted {
-                    self.back_invalidate(victim);
-                }
-                self.fill_l2(idx, line);
-                self.fill_l1(idx, line);
-                HitLevel::Dram
+            HitLevel::Llc
+        } else {
+            self.counters[idx].llc_miss += 1;
+            if sampling {
+                self.samplers[idx].observe(true);
             }
-        }
+            let llc_mask = self.fill_masks[idx];
+            if let Some(victim) = self.llc.fill_as(line, llc_mask, core) {
+                back_invalidate(&mut self.l1, &mut self.l2, victim);
+            }
+            HitLevel::Dram
+        };
+        self.fill_l2(idx, line);
+        level
     }
 
-    /// Fills `line` into `core`'s L1 (it was just looked up and missed).
-    fn fill_l1(&mut self, idx: usize, line: crate::address::LineAddr) {
-        let mask = WayMask::all(self.config.l1.ways);
-        if !self.l1[idx].probe(line) {
-            self.l1[idx].access(line, mask);
-        }
-    }
-
-    /// Fills `line` into `core`'s L2, keeping L1 inclusive in L2.
+    /// Fills `line`, which the L2 just missed, into `core`'s L2, keeping
+    /// L1 inclusive in L2.
     fn fill_l2(&mut self, idx: usize, line: crate::address::LineAddr) {
         let mask = WayMask::all(self.config.l2.ways);
-        if self.l2[idx].probe(line) {
-            return;
-        }
-        if let AccessOutcome::Miss {
-            evicted: Some(victim),
-        } = self.l2[idx].access(line, mask)
-        {
-            self.l1[idx].invalidate(victim);
-        }
-    }
-
-    /// Inclusive back-invalidation: drop `line` from every private cache.
-    fn back_invalidate(&mut self, line: crate::address::LineAddr) {
-        for idx in 0..self.config.cores as usize {
-            self.l2[idx].invalidate(line);
-            self.l1[idx].invalidate(line);
+        if let Some(victim) = self.l2[idx].fill_as(line, mask, 0) {
+            self.l1[idx].invalidate(victim.line);
         }
     }
 
@@ -492,13 +479,12 @@ impl Hierarchy {
     /// number of LLC *lines* dropped, not a way count (scaled to the full
     /// cache when sampling, like the occupancy accessors).
     pub fn flush_mask(&mut self, mask: WayMask) -> u64 {
-        let dropped = self.llc.invalidate_ways(mask);
-        for line in &dropped {
-            for idx in 0..self.config.cores as usize {
-                self.l2[idx].invalidate(*line);
-                self.l1[idx].invalidate(*line);
-            }
-        }
+        let (l1, l2) = (&mut self.l1, &mut self.l2);
+        let mut dropped = 0u64;
+        self.llc.drain_ways(mask, |d| {
+            dropped += 1;
+            back_invalidate(l1, l2, d);
+        });
         if self.fidelity != SimFidelity::Full {
             // The estimators' hit history describes the pre-flush cache;
             // without a decay, unsampled sets would keep replaying stale
@@ -509,7 +495,7 @@ impl Hierarchy {
                 s.flush_decay(flushed_ways, total_ways);
             }
         }
-        self.scale_occupancy(dropped.len() as u64)
+        self.scale_occupancy(dropped)
     }
 
     /// Flushes every cache in the hierarchy.
@@ -521,6 +507,23 @@ impl Hierarchy {
             c.flush();
         }
         self.llc.flush();
+    }
+}
+
+/// Inclusive back-invalidation of a line the LLC dropped, snoop-filtered
+/// by its owner word: only the filler can hold a line no other core hit.
+fn back_invalidate(l1: &mut [SetAssocCache], l2: &mut [SetAssocCache], dropped: Dropped) {
+    if dropped.shared {
+        for (l1, l2) in l1.iter_mut().zip(l2.iter_mut()) {
+            l2.invalidate(dropped.line);
+            l1.invalidate(dropped.line);
+        }
+    } else if let (Some(l1), Some(l2)) = (
+        l1.get_mut(dropped.filler as usize),
+        l2.get_mut(dropped.filler as usize),
+    ) {
+        l2.invalidate(dropped.line);
+        l1.invalidate(dropped.line);
     }
 }
 
@@ -575,6 +578,46 @@ mod tests {
         assert!(!h.llc_probe(0));
         assert!(!h.l1_probe(0, 0), "inclusive LLC must back-invalidate L1");
         assert!(!h.l2_probe(0, 0), "inclusive LLC must back-invalidate L2");
+    }
+
+    /// Three cores over a 1-way, 4-set LLC: a second line in a set evicts
+    /// the first.
+    fn one_way_llc() -> Hierarchy {
+        Hierarchy::new(HierarchyConfig {
+            cores: 3,
+            l1: CacheGeometry::new(4, 2, 64),
+            l2: CacheGeometry::new(8, 2, 64),
+            llc: CacheGeometry::new(4, 1, 64),
+            llc_policy: Default::default(),
+        })
+    }
+
+    #[test]
+    fn eviction_of_a_shared_line_reaches_every_holder() {
+        let mut h = one_way_llc();
+        h.access(0, 0, AccessKind::Load); // core 0 fills
+        assert_eq!(h.access(1, 0, AccessKind::Load), HitLevel::Llc); // core 1 hits
+        assert!(h.l1_probe(1, 0) && h.l2_probe(1, 0));
+        h.access(2, 4 * 64, AccessKind::Load); // same LLC set: evicts line 0
+        assert!(!h.llc_probe(0));
+        for core in [0, 1] {
+            assert!(!h.l1_probe(core, 0), "core {core} kept the line in its L1");
+            assert!(!h.l2_probe(core, 0), "core {core} kept the line in its L2");
+        }
+    }
+
+    #[test]
+    fn eviction_of_a_filler_only_line_leaves_other_cores_alone() {
+        let mut h = one_way_llc();
+        h.access(0, 0, AccessKind::Load); // core 0 fills line 0 alone
+        h.access(1, 64, AccessKind::Load); // core 1 holds line 1 (set 1)
+        h.access(2, 4 * 64, AccessKind::Load); // evicts line 0
+        assert!(!h.l1_probe(0, 0) && !h.l2_probe(0, 0));
+        assert!(h.l1_probe(1, 64) && h.l2_probe(1, 64) && h.llc_probe(64));
+        assert!(h.l1_probe(2, 4 * 64) && h.l2_probe(2, 4 * 64));
+        assert_eq!(h.llc_occupancy_of_core(0), 0);
+        assert_eq!(h.llc_occupancy_of_core(1), 1);
+        assert_eq!(h.llc_occupancy_of_core(2), 1);
     }
 
     #[test]

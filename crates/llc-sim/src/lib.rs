@@ -11,7 +11,8 @@
 //!   *fill mask* restricting which ways it may allocate (evict) into, while
 //!   hits are served from any way,
 //! * private per-core **L1/L2** caches kept inclusive with the LLC
-//!   (an LLC eviction back-invalidates the line from every private cache),
+//!   (an LLC eviction back-invalidates the line from every private cache
+//!   that can hold it, snoop-filtered as core-valid bits filter it),
 //! * **virtual-to-physical translation** with 4 KiB and 2 MiB pages and a
 //!   frame allocator that can hand out either randomized or contiguous
 //!   physical frames (this is what makes the paper's conflict-miss

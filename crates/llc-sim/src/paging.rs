@@ -14,7 +14,7 @@
 //! physically contiguous by construction). [`PageMapper`] demand-maps
 //! virtual pages on first touch.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use smallrng::SmallRng;
 
@@ -67,12 +67,16 @@ pub enum FramePolicy {
 
 /// Allocates physical frames from a fixed-size pool.
 ///
-/// Internally tracks 4 KiB frames; a huge-page allocation claims a naturally
-/// aligned run of 512 of them.
+/// Internally tracks 4 KiB frames in a bitmap (one bit per frame, 32 KiB
+/// per GiB of pool); a huge-page allocation claims a naturally aligned run
+/// of 512 of them.
 #[derive(Debug)]
 pub struct FrameAllocator {
     total_small_frames: u64,
-    used: HashSet<u64>,
+    /// Bit `f % 64` of word `f / 64` is set while frame `f` is allocated.
+    used: Vec<u64>,
+    /// Number of set bits in `used`.
+    used_frames: u64,
     bump_next: u64,
     policy: FramePolicy,
     rng: SmallRng,
@@ -89,9 +93,11 @@ impl FrameAllocator {
             memory_bytes >= PageSize::Huge.bytes(),
             "physical memory must hold at least one huge page"
         );
+        let total_small_frames = memory_bytes >> PageSize::Small.shift();
         FrameAllocator {
-            total_small_frames: memory_bytes >> PageSize::Small.shift(),
-            used: HashSet::new(),
+            total_small_frames,
+            used: vec![0; total_small_frames.div_ceil(64) as usize],
+            used_frames: 0,
             bump_next: 0,
             policy,
             rng: SmallRng::seed_from_u64(seed),
@@ -105,7 +111,7 @@ impl FrameAllocator {
 
     /// Bytes currently allocated.
     pub fn used_bytes(&self) -> u64 {
-        (self.used.len() as u64) << PageSize::Small.shift()
+        self.used_frames << PageSize::Small.shift()
     }
 
     /// Allocates one page of `size`, returning the physical address of its
@@ -171,14 +177,25 @@ impl FrameAllocator {
         }
     }
 
+    /// Word index and bit of frame `f` in the `used` bitmap.
+    #[inline]
+    fn bit(f: u64) -> (usize, u64) {
+        ((f / 64) as usize, 1 << (f % 64))
+    }
+
     fn run_free(&self, start_frame: u64, span: u64) -> bool {
-        (start_frame..start_frame + span).all(|f| !self.used.contains(&f))
+        (start_frame..start_frame + span).all(|f| {
+            let (w, b) = Self::bit(f);
+            self.used[w] & b == 0
+        })
     }
 
     fn claim(&mut self, start_frame: u64, span: u64) -> PhysAddr {
         for f in start_frame..start_frame + span {
-            self.used.insert(f);
+            let (w, b) = Self::bit(f);
+            self.used[w] |= b;
         }
+        self.used_frames += span;
         PhysAddr(start_frame << PageSize::Small.shift())
     }
 
@@ -237,7 +254,14 @@ impl FrameAllocator {
     pub fn free(&mut self, base: PhysAddr, size: PageSize) {
         let first = base.0 >> PageSize::Small.shift();
         for f in first..first + size.small_frames() {
-            self.used.remove(&f);
+            let (w, b) = Self::bit(f);
+            // Frames outside the pool or already free are ignored.
+            if let Some(word) = self.used.get_mut(w) {
+                if *word & b != 0 {
+                    *word &= !b;
+                    self.used_frames -= 1;
+                }
+            }
         }
     }
 }

@@ -13,12 +13,17 @@
 //!
 //! ```text
 //! occ:  u32 bitmask, bit w set = way w holds a valid line
-//! data: [ line_0 .. line_{n-1} | stamp_0 .. stamp_{n-1} | owner_0 .. owner_{n-1} ]
-//!        (u64 each; empty line slots hold INVALID_LINE so the lookup scan
-//!         needs no per-way validity test)
+//! ways: u32 associativity n
+//! data: [ line_0 .. line_{n-1} | stamp_0 .. stamp_{n-1} | owner_0 owner_1 | .. ]
+//!        u64 each               u64 each                 u32 each, two per u64
+//!        (empty line slots hold INVALID_LINE so the lookup scan needs no
+//!         per-way validity test)
+//!
+//! owner word: bit 31 = SHARED, bits 0-30 = filler id
+//!             SHARED set once a requestor other than the filler hits the line
 //! ```
 //!
-//! The layout buys three things on the hot path:
+//! The layout buys four things on the hot path:
 //!
 //! * **lookup** is a branch-light equality scan over a contiguous `u64`
 //!   run (the tag region), which the compiler vectorizes;
@@ -26,7 +31,12 @@
 //!   per-fill candidate `Vec` allocation (the seed implementation
 //!   malloc'd one per miss, which dominated fill-churn profiles);
 //! * **occupancy queries** are `count_ones` on the bitmask instead of an
-//!   `Option` scan.
+//!   `Option` scan;
+//! * **snoop filtering** is free: the SHARED bit in the owner word tells
+//!   an inclusive hierarchy whether a dropped line can be cached anywhere
+//!   but in its filler's private caches (see [`crate::hierarchy`]). The
+//!   owner word is `u32`, so the filter costs no memory over the seed's
+//!   owner field; filler ids must stay below 2³¹.
 //!
 //! Every replacement decision is bit-identical to the seed
 //! `Vec<Option<LineEntry>>` implementation, which is retained as
@@ -42,6 +52,10 @@ use crate::replacement::ReplacementPolicy;
 /// addresses shifted right by the 6-bit line offset, so they can never
 /// reach `u64::MAX`; [`CacheSet::fill_with`] debug-asserts it.
 const INVALID_LINE: u64 = u64::MAX;
+
+/// Owner-word bit recording that a requestor other than the filler hit
+/// the line since it was filled.
+const SHARED: u32 = 1 << 31;
 
 /// One resident line: its address tag, an LRU timestamp, and the id of
 /// the requestor that filled it (the analogue of Intel CMT's RMID tag,
@@ -66,13 +80,27 @@ pub struct FillResult {
     pub evicted: Option<LineAddr>,
 }
 
+/// A line that left a set (evicted by a fill, or invalidated), with what
+/// its owner word knew about it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Dropped {
+    /// The line that left.
+    pub(crate) line: LineAddr,
+    /// Requestor that filled it.
+    pub(crate) filler: u32,
+    /// Whether a requestor other than the filler hit it while resident.
+    pub(crate) shared: bool,
+}
+
 /// A single set of a set-associative cache (packed representation).
 #[derive(Debug, Clone)]
 pub struct CacheSet {
     /// Occupancy bitmask: bit `w` set means way `w` holds a valid line.
     occ: u32,
+    /// Associativity.
+    ways: u32,
     /// Packed per-way state: `ways` line slots, then `ways` LRU stamps,
-    /// then `ways` owner ids (widened to `u64` to keep one allocation).
+    /// then `ways` `u32` owner words, two to a `u64`.
     data: Box<[u64]>,
 }
 
@@ -98,15 +126,15 @@ impl CacheSet {
     pub fn new(ways: u32) -> Self {
         debug_assert!((1..=32).contains(&ways), "way masks are 32-bit");
         let n = ways as usize;
-        let mut data = vec![0u64; 3 * n].into_boxed_slice();
+        let mut data = vec![0u64; 2 * n + n.div_ceil(2)].into_boxed_slice();
         data[..n].fill(INVALID_LINE);
-        CacheSet { occ: 0, data }
+        CacheSet { occ: 0, ways, data }
     }
 
     /// Number of ways in this set.
     #[inline]
     pub fn way_count(&self) -> u32 {
-        (self.data.len() / 3) as u32
+        self.ways
     }
 
     /// Bitmask of the ways that actually exist in this set.
@@ -122,7 +150,7 @@ impl CacheSet {
 
     #[inline]
     fn n(&self) -> usize {
-        self.data.len() / 3
+        self.ways as usize
     }
 
     #[inline]
@@ -135,14 +163,53 @@ impl CacheSet {
         self.data[self.n() + way as usize]
     }
 
+    /// Index of the `u64` holding `way`'s owner word, and the word's shift.
+    #[inline]
+    fn owner_slot(&self, way: u32) -> (usize, u32) {
+        (2 * self.n() + (way / 2) as usize, 32 * (way & 1))
+    }
+
+    #[inline]
+    fn owner_word(&self, way: u32) -> u32 {
+        let (i, shift) = self.owner_slot(way);
+        (self.data[i] >> shift) as u32
+    }
+
+    #[inline]
+    fn set_owner_word(&mut self, way: u32, word: u32) {
+        let (i, shift) = self.owner_slot(way);
+        self.data[i] =
+            (self.data[i] & !(u64::from(u32::MAX) << shift)) | (u64::from(word) << shift);
+    }
+
     #[inline]
     fn set_entry(&mut self, way: u32, line: u64, stamp: u64, owner: u32) {
         let n = self.n();
         let w = way as usize;
         self.data[w] = line;
         self.data[n + w] = stamp;
-        self.data[2 * n + w] = u64::from(owner);
+        self.set_owner_word(way, owner);
         self.occ |= 1 << way;
+    }
+
+    /// What `way` holds (meaningful only for an occupied way).
+    #[inline]
+    fn entry_at(&self, way: u32) -> Dropped {
+        let word = self.owner_word(way);
+        Dropped {
+            line: LineAddr(self.data[way as usize]),
+            filler: word & !SHARED,
+            shared: word & SHARED != 0,
+        }
+    }
+
+    /// Empties `way`, returning what it held.
+    #[inline]
+    fn take_way(&mut self, way: u32) -> Dropped {
+        let held = self.entry_at(way);
+        self.data[way as usize] = INVALID_LINE;
+        self.occ &= !(1 << way);
+        held
     }
 
     /// Looks up a line; on a hit, refreshes its LRU stamp (unless the
@@ -172,6 +239,24 @@ impl CacheSet {
         None
     }
 
+    /// Policy-aware lookup by `requestor`: like
+    /// [`CacheSet::lookup_with`], and a hit by anyone but the line's
+    /// filler marks the line shared.
+    pub(crate) fn lookup_as(
+        &mut self,
+        line: LineAddr,
+        now: u64,
+        policy: ReplacementPolicy,
+        requestor: u32,
+    ) -> Option<u32> {
+        let way = self.lookup_with(line, now, policy)?;
+        let word = self.owner_word(way);
+        if word & !SHARED != requestor {
+            self.set_owner_word(way, word | SHARED);
+        }
+        Some(way)
+    }
+
     /// Checks residency without perturbing LRU state (a *probe*).
     pub fn probe(&self, line: LineAddr) -> Option<u32> {
         self.lines()
@@ -188,7 +273,9 @@ impl CacheSet {
     ///
     /// Panics if `mask` permits no way within this set's associativity;
     /// CAT forbids empty masks (Intel x86 does not allow a zero-way COS) and
-    /// upper layers validate masks before they reach the set.
+    /// upper layers validate masks before they reach the set. Panics if
+    /// `owner` is 2³¹ or more: the top bit of the stored owner word is the
+    /// SHARED flag.
     pub fn fill(&mut self, line: LineAddr, mask: WayMask, now: u64, owner: u32) -> FillResult {
         self.fill_with(line, mask, now, owner, ReplacementPolicy::Lru, 0)
     }
@@ -205,6 +292,25 @@ impl CacheSet {
         policy: ReplacementPolicy,
         draw: u64,
     ) -> FillResult {
+        let (way, evicted) = self.fill_tracked(line, mask, now, owner, policy, draw);
+        FillResult {
+            way,
+            evicted: evicted.map(|d| d.line),
+        }
+    }
+
+    /// [`CacheSet::fill_with`], reporting the evicted line's owner word.
+    /// Panics under the conditions [`CacheSet::fill`] documents.
+    pub(crate) fn fill_tracked(
+        &mut self,
+        line: LineAddr,
+        mask: WayMask,
+        now: u64,
+        owner: u32,
+        policy: ReplacementPolicy,
+        draw: u64,
+    ) -> (u32, Option<Dropped>) {
+        assert!(owner < SHARED, "owner ids must stay below 2^31");
         debug_assert!(
             self.probe(line).is_none(),
             "fill of a line that is already resident"
@@ -219,7 +325,7 @@ impl CacheSet {
         if free != 0 {
             let way = free.trailing_zeros();
             self.set_entry(way, line.0, insert_stamp, owner);
-            return FillResult { way, evicted: None };
+            return (way, None);
         }
 
         // All permitted ways are occupied: pick a victim among them.
@@ -250,26 +356,22 @@ impl CacheSet {
                 victim
             }
         };
-        let evicted = LineAddr(self.data[way as usize]);
+        let evicted = self.entry_at(way);
         self.set_entry(way, line.0, insert_stamp, owner);
-        FillResult {
-            way,
-            evicted: Some(evicted),
-        }
+        (way, Some(evicted))
     }
 
     /// Invalidates `line` if resident (used for inclusive back-invalidation).
     ///
     /// Returns `true` when a line was actually dropped.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        match self.probe(line) {
-            Some(way) => {
-                self.data[way as usize] = INVALID_LINE;
-                self.occ &= !(1 << way);
-                true
-            }
-            None => false,
-        }
+        self.take(line).is_some()
+    }
+
+    /// Invalidates `line` if resident, returning what it held.
+    pub(crate) fn take(&mut self, line: LineAddr) -> Option<Dropped> {
+        let way = self.probe(line)?;
+        Some(self.take_way(way))
     }
 
     /// Clears every way of the set.
@@ -303,13 +405,12 @@ impl CacheSet {
 
     /// Number of valid lines filled by `owner`.
     pub fn occupancy_of(&self, owner: u32) -> u32 {
-        let n = self.n();
         let mut count = 0;
         let mut bits = self.occ;
         while bits != 0 {
-            let w = bits.trailing_zeros() as usize;
+            let w = bits.trailing_zeros();
             bits &= bits - 1;
-            if self.data[2 * n + w] == u64::from(owner) {
+            if self.owner_word(w) & !SHARED == owner {
                 count += 1;
             }
         }
@@ -319,16 +420,20 @@ impl CacheSet {
     /// Invalidates every line resident in the ways permitted by `mask`,
     /// returning how many were dropped and which lines they were.
     pub fn invalidate_ways(&mut self, mask: WayMask) -> Vec<LineAddr> {
+        let mut dropped = Vec::with_capacity(self.occupancy_in(mask) as usize);
+        self.drain_ways(mask, |d| dropped.push(d.line));
+        dropped
+    }
+
+    /// Invalidates every line resident in the ways permitted by `mask`,
+    /// handing each to `f` in ascending way order.
+    pub(crate) fn drain_ways(&mut self, mask: WayMask, mut f: impl FnMut(Dropped)) {
         let mut bits = self.occ & mask.0;
-        let mut dropped = Vec::with_capacity(bits.count_ones() as usize);
         while bits != 0 {
             let way = bits.trailing_zeros();
             bits &= bits - 1;
-            dropped.push(LineAddr(self.data[way as usize]));
-            self.data[way as usize] = INVALID_LINE;
-            self.occ &= !(1 << way);
+            f(self.take_way(way));
         }
-        dropped
     }
 }
 

@@ -129,3 +129,84 @@ fn mru_line_survives_one_fill() {
         );
     });
 }
+
+/// The per-owner occupancy counts agree with a scan of every set after
+/// any mix of accesses, invalidations, way flushes and full flushes.
+#[test]
+fn owner_occupancy_counts_match_a_set_scan() {
+    prop_lite::run_cases("owner_occupancy_counts_match_a_set_scan", 256, |g| {
+        let geometry = CacheGeometry::new(16, 4, 64);
+        let mut cache = SetAssocCache::new(geometry);
+        // A sparse owner id exercises the count table's growth.
+        let owners = [0u32, 1, 2, 3, 1000];
+        let ops = g.usize_in(1, 400);
+        for _ in 0..ops {
+            let line = LineAddr(g.u64_in(0, 127));
+            match g.u32_in(0, 19) {
+                0..=15 => {
+                    let start = g.u32_in(0, 3);
+                    let mask = WayMask::from_way_range(start, g.u32_in(1, 4 - start));
+                    cache.access_as(line, mask, *g.pick(&owners));
+                }
+                16 | 17 => {
+                    cache.invalidate(line);
+                }
+                18 => {
+                    let start = g.u32_in(0, 3);
+                    cache.invalidate_ways(WayMask::from_way_range(start, g.u32_in(1, 4 - start)));
+                }
+                _ => cache.flush(),
+            }
+            for &o in owners.iter().chain(&[7]) {
+                let scanned: u64 = (0..geometry.sets)
+                    .map(|s| u64::from(cache.set(s).occupancy_of(o)))
+                    .sum();
+                assert_eq!(cache.occupancy_of(o), scanned, "owner {o}");
+            }
+            let total: u64 = (0..geometry.sets)
+                .map(|s| u64::from(cache.set(s).occupancy()))
+                .sum();
+            assert_eq!(cache.occupancy(), total);
+        }
+    });
+}
+
+/// Inclusion survives the snoop filter: with four cores sharing lines
+/// and way flushes between accesses, no private cache keeps a line the
+/// LLC has dropped.
+#[test]
+fn snoop_filtered_hierarchy_stays_inclusive() {
+    prop_lite::run_cases("snoop_filtered_hierarchy_stays_inclusive", 64, |g| {
+        let mut h = Hierarchy::new(HierarchyConfig {
+            cores: 4,
+            l1: CacheGeometry::new(8, 2, 64),
+            l2: CacheGeometry::new(16, 4, 64),
+            llc: CacheGeometry::new(32, 4, 64),
+            llc_policy: Default::default(),
+        });
+        h.set_fill_mask(0, WayMask::from_way_range(0, 2));
+        h.set_fill_mask(1, WayMask::from_way_range(2, 2));
+        let ops = g.usize_in(1, 600);
+        for _ in 0..ops {
+            if g.bool_with(0.02) {
+                let start = g.u32_in(0, 3);
+                h.flush_mask(WayMask::from_way_range(start, g.u32_in(1, 4 - start)));
+            } else {
+                // A small line universe makes cores hit each other's lines.
+                let addr = g.u64_in(0, 255) * 64;
+                h.access(g.u32_in(0, 3), addr, AccessKind::Load);
+            }
+        }
+        for line in 0..256u64 {
+            let addr = line * 64;
+            for core in 0..4 {
+                if h.l1_probe(core, addr) || h.l2_probe(core, addr) {
+                    assert!(
+                        h.llc_probe(addr),
+                        "core {core} holds {addr:#x}, which the LLC dropped"
+                    );
+                }
+            }
+        }
+    });
+}
