@@ -18,8 +18,20 @@ cargo test -q --release -p llc-sim --offline
 echo "==> e2ebench self-test and lockstep replay of Engine::run_epoch"
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
-echo "==> lint gate (fmt, clippy, source scans)"
-cargo run -q -p xtask --offline -- lint
+echo "==> lint gate: fmt, clippy (the dcat-lint source scans run below)"
+cargo fmt --check
+cargo clippy --offline --all-targets -- -D warnings
+
+# Runs dcat-lint on seeded fixtures and requires exit status 1 (findings
+# found): a usage or I/O error exits 2 and must not count as "caught".
+expect_findings() {
+    status=0
+    cargo run -q -p dcat-lint --offline -- "$@" || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "ERROR: dcat-lint $* exited $status, expected 1 (findings found)" >&2
+        exit 1
+    fi
+}
 
 echo "==> lint gate flags a seeded banned-pattern fixture (one per pass family)"
 mkdir -p target
@@ -38,10 +50,7 @@ fn bad() {
     println!("debug {x}");
 }
 FIXTURE
-if cargo run -q -p xtask --offline -- scan target/lint-fixture.rs; then
-    echo "ERROR: lint scan passed a fixture seeded with banned patterns" >&2
-    exit 1
-fi
+expect_findings target/lint-fixture.rs
 
 echo "==> interprocedural passes flag seeded laundering the token engine alone misses"
 cat > target/lint-interproc-helper.rs <<'FIXTURE'
@@ -120,14 +129,9 @@ fn epoch_step(mask: u64) -> u64 {
     mask
 }
 FIXTURE
-if cargo run -q -p dcat-lint --offline -- target/lint-interproc-fixture.rs \
-    target/lint-interproc-helper.rs target/lint-flow-fixture.rs; then
-    echo "ERROR: interprocedural passes missed the seeded laundering fixture" >&2
-    exit 1
-fi
-cargo run -q -p dcat-lint --offline -- --json target/lint-interproc-fixture.rs \
+expect_findings --json target/lint-interproc-fixture.rs \
     target/lint-interproc-helper.rs target/lint-flow-fixture.rs \
-    > target/lint-interproc-report.json || true
+    > target/lint-interproc-report.json
 if grep -o '"code":"DL0[0-9][0-9]"' target/lint-interproc-report.json | grep -qv 'DL01[2-7]'; then
     echo "ERROR: fixture tripped a token-level pass; it no longer proves the interprocedural value-add" >&2
     exit 1
@@ -154,36 +158,44 @@ echo "==> daemon fault tolerance (scripted fault schedule, degraded ticks)"
 cargo test -q -p dcat --offline --test daemon_faults
 
 echo "==> all experiments: serial vs parallel wall-clock and byte-identity"
+cargo build -q --release -p dcat-bench --offline --bin dcat-exp
+exp=target/release/dcat-exp
 t0=$(date +%s)
-cargo run -q --release -p dcat-bench --offline --bin all_experiments -- --fast --jobs 1 \
-    > target/all_experiments.jobs1.txt
+$exp all --fast --jobs 1 > target/dcat-exp-all.jobs1.txt
 t1=$(date +%s)
-cargo run -q --release -p dcat-bench --offline --bin all_experiments -- --fast --jobs 2 \
-    > target/all_experiments.jobs2.txt
+$exp all --fast --jobs 2 > target/dcat-exp-all.jobs2.txt
 t2=$(date +%s)
-echo "all_experiments --fast wall-clock: jobs=1 $((t1 - t0))s, jobs=2 $((t2 - t1))s"
-if ! cmp -s target/all_experiments.jobs1.txt target/all_experiments.jobs2.txt; then
-    echo "ERROR: all_experiments output differs between --jobs 1 and --jobs 2" >&2
+echo "dcat-exp all --fast wall-clock: jobs=1 $((t1 - t0))s, jobs=2 $((t2 - t1))s"
+if ! cmp -s target/dcat-exp-all.jobs1.txt target/dcat-exp-all.jobs2.txt; then
+    echo "ERROR: dcat-exp all output differs between --jobs 1 and --jobs 2" >&2
     exit 1
 fi
+
+echo "==> ablations and decision traces (outside the suite): byte-identity across --jobs"
+for name in ablate_interval ablate_perf_table ablate_phase_thr ablate_policy \
+    ablate_settle trace_decisions trace_fig15; do
+    $exp "$name" --fast --jobs 1 > "target/$name.jobs1.txt"
+    $exp "$name" --fast --jobs 2 > "target/$name.jobs2.txt"
+    if ! cmp -s "target/$name.jobs1.txt" "target/$name.jobs2.txt"; then
+        echo "ERROR: $name output differs between --jobs 1 and --jobs 2" >&2
+        exit 1
+    fi
+done
 
 echo "==> fleet smoke: 1000 tenants, sampled sets, byte-identity across jobs widths"
 # The cluster scenario layer fans hosts over the worker pool; the smoke
 # proves a 1000-tenant sampled run is fast AND byte-identical whether
 # hosts step on two workers or four.
-cargo run -q --release -p dcat-bench --offline --bin fleet_scale -- --fast \
-    --tenants 1000 --sample-sets 8 --jobs 2 > target/fleet_smoke.jobs2.txt
-cargo run -q --release -p dcat-bench --offline --bin fleet_scale -- --fast \
-    --tenants 1000 --sample-sets 8 --jobs 4 > target/fleet_smoke.jobs4.txt
+$exp fleet_scale --fast --tenants 1000 --sample-sets 8 --jobs 2 > target/fleet_smoke.jobs2.txt
+$exp fleet_scale --fast --tenants 1000 --sample-sets 8 --jobs 4 > target/fleet_smoke.jobs4.txt
 if ! cmp -s target/fleet_smoke.jobs2.txt target/fleet_smoke.jobs4.txt; then
     echo "ERROR: fleet_scale output differs between --jobs 2 and --jobs 4" >&2
     exit 1
 fi
 
 echo "==> metrics + frame-stream export: fig07 with --metrics-out/--frames-out, validated by obs-dump"
-cargo run -q --release -p dcat-bench --offline --bin fig07_lifecycle -- --fast \
-    --metrics-out target/metrics.prom --frames-out target/frames.jsonl \
-    > target/fig07_lifecycle.txt
+$exp fig07_lifecycle --fast --metrics-out target/metrics.prom \
+    --frames-out target/frames.jsonl > target/fig07_lifecycle.txt
 cargo run -q --release -p dcat-obs --offline --bin obs-dump -- --check target/metrics.prom
 cargo run -q --release -p dcat-obs --offline --bin obs-dump -- --check target/frames.jsonl
 
@@ -210,8 +222,7 @@ cp target/ci-top-boundary/crates/top/src/lib.rs \
 # Stubs for the inputs the scoped gate always reads (DL010 spec drift).
 : > target/ci-top-boundary/crates/dcat/src/transitions.rs
 : > target/ci-top-boundary/DESIGN.md
-cargo run -q --release -p dcat-lint --offline -- --json --root target/ci-top-boundary \
-    > target/ci-top-boundary-report.json || true
+expect_findings --json --root target/ci-top-boundary > target/ci-top-boundary-report.json
 if ! grep -q '"code":"DL011","path":"crates/top/src/lib.rs"' target/ci-top-boundary-report.json; then
     echo "ERROR: DL011 did not flag a println! seeded into crates/top/src/lib.rs" >&2
     exit 1

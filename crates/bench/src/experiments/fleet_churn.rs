@@ -32,7 +32,7 @@ pub struct FleetChurnRow {
 /// # Errors
 ///
 /// Propagates the [`resctrl::ResctrlError`] of the first fleet run that
-/// fails, so the binary classifies it at the exit boundary.
+/// fails; the `dcat-exp` entry aborts naming its severity.
 pub fn run(fast: bool) -> Result<Vec<FleetChurnRow>, resctrl::ResctrlError> {
     run_at(if fast { 48 } else { 1_000 }, fast)
 }

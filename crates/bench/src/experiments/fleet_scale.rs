@@ -41,14 +41,14 @@ pub struct FleetScaleRow {
 /// # Errors
 ///
 /// Propagates the [`resctrl::ResctrlError`] of the first fleet run that
-/// fails, so the binary classifies it at the exit boundary.
+/// fails; the `dcat-exp` entry aborts naming its severity.
 pub fn run(fast: bool) -> Result<Vec<FleetScaleRow>, resctrl::ResctrlError> {
     let ladder: &[u32] = if fast { &[48] } else { &[100, 1_000, 10_000] };
     run_at(ladder, fast)
 }
 
 /// Runs the comparison at explicit fleet sizes (the `--tenants N` path
-/// of the binary).
+/// of `dcat-exp fleet_scale`).
 ///
 /// # Errors
 ///

@@ -1,10 +1,10 @@
 //! Experiment harness regenerating every table and figure of the dCat
 //! paper.
 //!
-//! Each `fig*`/`tab*` binary under `src/bin/` reproduces one table or
-//! figure of the evaluation (the mapping is indexed in the repository's
-//! `DESIGN.md`), printing the same rows/series the paper reports. The
-//! shared machinery lives here:
+//! `dcat-exp <name>` runs one entry of [`experiments::EXPERIMENTS`]: each
+//! `fig*`/`tab*` entry reproduces one table or figure of the evaluation
+//! (the mapping is indexed in the repository's `DESIGN.md`), printing the
+//! same rows/series the paper reports. The shared machinery lives here:
 //!
 //! * [`scenario`] — declarative multi-VM scenarios with workload start/stop
 //!   schedules, run under any of the three policies the paper compares
@@ -12,8 +12,8 @@
 //! * [`report`] — plain-text table/series formatting, geometric means,
 //!   and percentiles,
 //! * [`experiments`] — one module per figure/table, each exposing a
-//!   `run(fast)` entry point (binaries call `run(false)`; integration
-//!   tests call scaled-down variants).
+//!   `run(fast)` entry point (`dcat-exp` calls `run(false)` unless given
+//!   `--fast`; integration tests call scaled-down variants).
 
 pub mod experiments;
 pub mod fleet;

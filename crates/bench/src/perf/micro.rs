@@ -292,7 +292,7 @@ pub fn run(clock: &mut dyn CycleSource, kind: ClockKind, quick: bool) -> SuiteRe
     }
 
     // --- full-workspace lint gate ---
-    // ci.sh budgets 10 s of wall clock for `cargo xtask lint`; tracking
+    // ci.sh budgets 10 s of wall clock for the repo `dcat-lint` run; tracking
     // the full pipeline (read + lex + parse + call graph + passes) here
     // turns that one-off timer into a regression-gated trajectory with
     // a hard headroom floor (`lint_budget_headroom` below).

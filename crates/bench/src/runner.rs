@@ -1,6 +1,6 @@
 //! Shared CLI parsing and the deterministic parallel sweep runner.
 //!
-//! Every experiment binary accepts `--fast` and `--jobs N`. `--jobs`
+//! Every experiment accepts `--fast` and `--jobs N`. `--jobs`
 //! sets a process-global width consumed by [`Runner::from_env`]; sweeps
 //! inside experiments fan their scenario runs out through
 //! [`Runner::map`], which combines [`host::Pool`]'s index-ordered
@@ -48,7 +48,7 @@ pub fn llc_fidelity() -> llc_sim::SimFidelity {
     }
 }
 
-/// Flags shared by every experiment binary.
+/// Flags shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
     /// Scaled-down epoch counts and cycle budgets (for tests and CI).
@@ -64,83 +64,78 @@ pub struct Cli {
     /// LLC set-sampling stride (`--sample-sets N`); 0 means full
     /// fidelity. Values of 1 also degenerate to full fidelity.
     pub sample_sets: usize,
+    /// Explicit fleet size for the fleet experiments (`--tenants N`).
+    pub tenants: Option<u32>,
 }
 
 impl Cli {
-    /// Parses `std::env::args()` and installs `--jobs` globally.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args)
-    }
-
-    /// Parses a flag list (`--fast`, `--jobs N`, `--jobs=N`,
-    /// `--metrics-out PATH`, `--frames-out PATH`, `--sample-sets N`);
-    /// unknown flags are ignored so binaries can add their own. Installs
-    /// the parsed width via [`set_jobs`] and the sampling stride via
-    /// [`set_sample_sets`].
-    pub fn parse(args: &[String]) -> Self {
-        let mut fast = false;
-        let mut jobs = 1usize;
-        let mut metrics_out = None;
-        let mut frames_out = None;
-        let mut sample_sets = 0usize;
+    /// Parses a flag list: `--fast`, and `--jobs N`, `--sample-sets N`,
+    /// `--tenants N`, `--metrics-out PATH`, `--frames-out PATH`, each
+    /// also spelled `--flag=VALUE`. Installs the parsed width via
+    /// [`set_jobs`] and the sampling stride via [`set_sample_sets`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects unknown flags and stray arguments, a valued flag without
+    /// a value, and a count that is not a non-negative integer, so a
+    /// typo never silently runs a different experiment.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut cli = Cli {
+            fast: false,
+            jobs: 1,
+            metrics_out: None,
+            frames_out: None,
+            sample_sets: 0,
+            tenants: None,
+        };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            if arg == "--fast" {
-                fast = true;
-            } else if arg == "--jobs" {
-                if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                    jobs = n;
-                }
-            } else if let Some(v) = arg.strip_prefix("--jobs=") {
-                if let Ok(n) = v.parse() {
-                    jobs = n;
-                }
-            } else if arg == "--metrics-out" {
-                metrics_out = it.next().map(PathBuf::from);
-            } else if let Some(v) = arg.strip_prefix("--metrics-out=") {
-                metrics_out = Some(PathBuf::from(v));
-            } else if arg == "--frames-out" {
-                frames_out = it.next().map(PathBuf::from);
-            } else if let Some(v) = arg.strip_prefix("--frames-out=") {
-                frames_out = Some(PathBuf::from(v));
-            } else if arg == "--sample-sets" {
-                if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                    sample_sets = n;
-                }
-            } else if let Some(v) = arg.strip_prefix("--sample-sets=") {
-                if let Ok(n) = v.parse() {
-                    sample_sets = n;
-                }
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) => (flag, Some(v)),
+                None => (arg.as_str(), None),
+            };
+            let mut value = || {
+                inline
+                    .or_else(|| it.next().map(String::as_str))
+                    .filter(|v| !v.is_empty())
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
+                "--fast" if inline.is_none() => cli.fast = true,
+                "--jobs" => cli.jobs = count(flag, value()?)?,
+                "--sample-sets" => cli.sample_sets = count(flag, value()?)?,
+                "--tenants" => cli.tenants = Some(count(flag, value()?)?),
+                "--metrics-out" => cli.metrics_out = Some(PathBuf::from(value()?)),
+                "--frames-out" => cli.frames_out = Some(PathBuf::from(value()?)),
+                _ => return Err(format!("unknown argument '{arg}'")),
             }
         }
-        let cli = Cli {
-            fast,
-            jobs: jobs.max(1),
-            metrics_out,
-            frames_out,
-            sample_sets,
-        };
+        cli.jobs = cli.jobs.max(1);
         set_jobs(cli.jobs);
         set_sample_sets(cli.sample_sets);
-        cli
+        Ok(cli)
     }
 }
 
-/// Standard experiment `main`: parses the [`Cli`], runs `body`, then
-/// honors `--metrics-out` by exporting everything the run [`report::record`]ed
-/// into the process-root registry.
+/// Parses a count flag's value.
+fn count<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes a non-negative integer, got '{value}'"))
+}
+
+/// Standard experiment driver: runs `body`, then honors `--metrics-out`
+/// by exporting everything the run [`report::record`]ed into the
+/// process-root registry.
 ///
 /// # Panics
 ///
 /// Panics if the metrics file cannot be written.
-pub fn main_with(body: impl FnOnce(Cli)) {
-    let cli = Cli::from_env();
-    let metrics_out = cli.metrics_out.clone();
+pub fn main_with(cli: &Cli, body: impl FnOnce(&Cli)) {
     body(cli);
-    if let Some(path) = metrics_out {
+    if let Some(path) = &cli.metrics_out {
         let snap = report::take_root_metrics();
-        if let Err(e) = dcat_obs::FileSink::new(&path).export(&snap) {
+        if let Err(e) = dcat_obs::FileSink::new(path).export(&snap) {
             panic!("metrics export to {}: {e}", path.display());
         }
     }
@@ -211,10 +206,12 @@ mod tests {
             metrics_out: None,
             frames_out: None,
             sample_sets: 0,
+            tenants: None,
         };
-        assert_eq!(Cli::parse(&argv(&[])), base);
+        let ok = |args: &[&str]| Cli::parse(&argv(args)).expect("valid flags");
+        assert_eq!(ok(&[]), base);
         assert_eq!(
-            Cli::parse(&argv(&["--fast", "--jobs", "4"])),
+            ok(&["--fast", "--jobs", "4"]),
             Cli {
                 fast: true,
                 jobs: 4,
@@ -222,58 +219,107 @@ mod tests {
             }
         );
         assert_eq!(
-            Cli::parse(&argv(&["--jobs=8"])),
+            ok(&["--jobs=8"]),
             Cli {
                 jobs: 8,
                 ..base.clone()
             }
         );
         assert_eq!(
-            Cli::parse(&argv(&["--metrics-out", "m.prom"])),
+            ok(&["--metrics-out", "m.prom"]),
             Cli {
                 metrics_out: Some(PathBuf::from("m.prom")),
                 ..base.clone()
             }
         );
         assert_eq!(
-            Cli::parse(&argv(&["--metrics-out=target/m.jsonl"])),
+            ok(&["--metrics-out=target/m.jsonl"]),
             Cli {
                 metrics_out: Some(PathBuf::from("target/m.jsonl")),
                 ..base.clone()
             }
         );
         assert_eq!(
-            Cli::parse(&argv(&["--frames-out", "target/frames.jsonl"])),
+            ok(&["--frames-out", "target/frames.jsonl"]),
             Cli {
                 frames_out: Some(PathBuf::from("target/frames.jsonl")),
                 ..base.clone()
             }
         );
         assert_eq!(
-            Cli::parse(&argv(&["--frames-out=f.jsonl"])),
+            ok(&["--frames-out=f.jsonl"]),
             Cli {
                 frames_out: Some(PathBuf::from("f.jsonl")),
                 ..base.clone()
             }
         );
         assert_eq!(
-            Cli::parse(&argv(&["--sample-sets", "8"])),
+            ok(&["--sample-sets", "8"]),
             Cli {
                 sample_sets: 8,
                 ..base.clone()
             }
         );
         assert_eq!(
-            Cli::parse(&argv(&["--sample-sets=16"])),
+            ok(&["--sample-sets=16"]),
             Cli {
                 sample_sets: 16,
                 ..base.clone()
             }
         );
-        // Degenerate values clamp, junk is ignored.
-        assert_eq!(Cli::parse(&argv(&["--jobs", "0", "--mystery"])), base);
+        assert_eq!(
+            ok(&["--tenants", "1000", "--tenants=12"]),
+            Cli {
+                tenants: Some(12),
+                ..base.clone()
+            }
+        );
+        // A zero width clamps to the inline runner.
+        assert_eq!(ok(&["--jobs", "0"]), base);
         set_jobs(1); // do not leak the globals into other tests
         set_sample_sets(0);
+    }
+
+    #[test]
+    fn cli_rejects_unknown_flags() {
+        for args in [
+            &["--fsat"][..],
+            &["fast"],
+            &["--fast=1"],
+            &["--fast", "--mystery"],
+        ] {
+            let err = Cli::parse(&argv(args)).expect_err("unknown argument");
+            assert!(err.starts_with("unknown argument"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn cli_rejects_missing_values() {
+        for args in [
+            &["--jobs"][..],
+            &["--jobs="],
+            &["--sample-sets"],
+            &["--tenants"],
+            &["--metrics-out"],
+            &["--frames-out="],
+        ] {
+            let err = Cli::parse(&argv(args)).expect_err("missing value");
+            assert!(err.ends_with("needs a value"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn cli_rejects_malformed_counts() {
+        for args in [
+            &["--jobs", "x"][..],
+            &["--jobs=2.5"],
+            &["--sample-sets", "-1"],
+            &["--tenants", "x"],
+            &["--tenants", "99999999999"],
+        ] {
+            let err = Cli::parse(&argv(args)).expect_err("malformed count");
+            assert!(err.contains("non-negative integer"), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //! it produces a good sample again. Only *fatal* errors — controller
 //! logic bugs, see [`resctrl::ErrorSeverity`] — abort the loop.
 //!
-//! The `dcatd` binary wraps [`run_daemon`] with command-line parsing.
+//! The `dcatd` binary wraps [`run_daemon_observed`] with command-line
+//! parsing, persisting the observer's frames and flight dumps.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -151,8 +152,8 @@ pub struct TickObservation<'a> {
 /// [`crate::policy::CachePolicy::frame_ext`]); everything else comes off
 /// the observation. `ways_moved` is left 0 for
 /// [`dcat_obs::FrameWriter::push`] to fill in against the previous frame.
-/// Shared by `dcatd --frames-out` and the bench harness's scenario/fleet
-/// exporters.
+/// Used by `dcatd --frames-out`; the bench harness's scenario and fleet
+/// exporters build theirs with [`frame_from_reports`].
 pub fn frame_from_observation(
     obs: &TickObservation<'_>,
     policy: &str,

@@ -20,7 +20,7 @@
 //!
 //! Threads are scoped ([`std::thread::scope`]), so borrowed task closures
 //! work and no thread outlives the call. This is the only module in the
-//! workspace allowed to create threads — an `xtask` lint enforces it.
+//! workspace allowed to create threads — `dcat-lint` pass DL004 enforces it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -1,7 +1,6 @@
 //! dcat-lint: the workspace's token-aware static-analysis engine.
 //!
-//! Replaces the regex line-scans that used to live in `xtask` with a
-//! lexer that understands comments, strings, raw strings, and char
+//! A lexer that understands comments, strings, raw strings, and char
 //! literals ([`lexer`]), a catalog of passes with stable `DLxxx`
 //! diagnostic codes ([`passes`]), inline suppression via
 //! `// lint: allow(DLxxx, reason)` annotations, and a checked-in
@@ -82,7 +81,7 @@ pub fn find_repo_root(start: &Path) -> Result<PathBuf, String> {
 /// The scopes encode the same module boundaries the legacy scans did,
 /// plus the new determinism/cast/panic scopes from the pass catalog.
 /// `crates/lint` itself is excluded from the walk entirely (its
-/// fixtures spell every banned token), as is `crates/xtask`.
+/// fixtures spell every banned token).
 fn passes_for(rel: &str) -> Vec<&'static str> {
     use passes::{
         cast_safety, cbm_bits, determinism, direct_io, float_eq, panic_path, print_discipline,
@@ -213,11 +212,11 @@ pub fn check_repo(root: &Path) -> Result<Report, String> {
         if let Some(ident) = package_ident(&dir.join("Cargo.toml")) {
             crate_idents.insert(name.to_string(), ident);
         }
-        // The graph spans every crate's src/ tree — including lint and
-        // xtask, whose fns are simply unreachable from the dCat entry
-        // points — but never test fixtures.
+        // The graph spans every crate's src/ tree — including lint,
+        // whose fns are simply unreachable from the dCat entry points —
+        // but never test fixtures.
         collect_rust_files(&dir, &mut graph_files)?;
-        if name == "lint" || name == "xtask" {
+        if name == "lint" {
             continue;
         }
         collect_rust_files(&dir, &mut files)?;
@@ -432,7 +431,7 @@ mod tests {
             "crates/prop-lite/src/lib.rs",
             "crates/dcat/src/bin/dcatd.rs",
             "crates/obs/src/bin/obs_dump.rs",
-            "crates/bench/src/bin/fig07_lifecycle.rs",
+            "crates/bench/src/bin/dcat_exp.rs",
             "crates/bench/tests/determinism.rs",
             "crates/bench/benches/controller_tick.rs",
         ] {

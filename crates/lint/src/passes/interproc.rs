@@ -131,9 +131,9 @@ pub(super) fn roots(ws: &Workspace) -> Vec<usize> {
 }
 
 /// Crates whose bodies never contribute facts: the analyzer itself (its
-/// sources and fixtures spell every banned token) and the build tool.
+/// sources and fixtures spell every banned token).
 pub(super) fn fact_exempt_crate(cr: &str) -> bool {
-    cr == "dcat_lint" || cr == "xtask"
+    cr == "dcat_lint"
 }
 
 /// One extracted fact, pre-resolved to an emission site.
